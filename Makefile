@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 # Chaos-soak duration for `make soak` (parsed by TestChaosSoak).
 SOAKTIME ?= 30s
 
-.PHONY: all build test race soak fuzz cover bench benchgate ci fmtcheck lint vuln microbench repro examples clean help
+.PHONY: all build test race soak fuzz cover bench benchgate perfbench-test ci fmtcheck lint vuln microbench repro examples clean help
 
 all: build test race soak
 
@@ -113,10 +113,15 @@ BENCH_WALL_TOL ?= 0.10
 benchgate:
 	$(GO) run ./cmd/benchgate -baseline BENCH_pr4.json -out BENCH_gate.json -wall-tol $(BENCH_WALL_TOL)
 
+# The benchmark (perfbench/) is its own Go module, so the root
+# `go test ./...` never reaches its unit tests; vet and run them here.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # The full CI pipeline, byte-identical to what .github/workflows/ci.yml
 # runs — so "it passed make ci" means it passes CI. (Nightly long
 # soak/fuzz runs live in .github/workflows/nightly.yml.)
-ci: fmtcheck build lint vuln test race fuzz soak cover benchgate
+ci: fmtcheck build lint vuln test perfbench-test race fuzz soak cover benchgate
 
 # One testing.B target per paper table/figure plus pipeline micro-benches.
 microbench:
@@ -150,6 +155,7 @@ help:
 	@echo "make lint     - go vet + staticcheck (skipped when not installed)"
 	@echo "make vuln     - govulncheck ./... (skipped when not installed)"
 	@echo "make test     - run the test suite (shuffled order)"
+	@echo "make perfbench-test - vet + unit-test the perfbench benchmark module"
 	@echo "make race     - run the test suite under the race detector"
 	@echo "make soak     - $(SOAKTIME) race-enabled chaos soaks of the serving path and the fleet"
 	@echo "make fuzz     - short fuzz pass over all fuzz targets (FUZZTIME=$(FUZZTIME) each)"

@@ -7,8 +7,8 @@
 //
 // Usage:
 //
-//	benchgate                         # run, write BENCH_pr4.json, gate
-//	                                  # against BENCH_pr2.json
+//	benchgate                         # run, write BENCH_gate.json, gate
+//	                                  # against BENCH_pr4.json
 //	benchgate -baseline B.json        # choose the committed baseline
 //	benchgate -out OUT.json           # where to write the fresh report
 //	benchgate -compare RUN.json       # gate an existing report instead
@@ -35,8 +35,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		baseline = fs.String("baseline", "BENCH_pr2.json", "committed baseline benchmark JSON")
-		out      = fs.String("out", "BENCH_pr4.json", "path for the fresh benchmark report")
+		baseline = fs.String("baseline", "BENCH_pr4.json", "committed baseline benchmark JSON")
+		out      = fs.String("out", "BENCH_gate.json", "path for the fresh benchmark report")
 		compare  = fs.String("compare", "", "gate this existing report file instead of running the benchmark")
 		trials   = fs.Int("trials", 25, "benchmark trial count")
 		seed     = fs.Int64("seed", 1, "base simulation seed")

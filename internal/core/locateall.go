@@ -70,7 +70,7 @@ func (e *Engine) LocateAllContext(ctx context.Context, tr *sim.Trace) []BeaconRe
 	for i, name := range names {
 		job := locateJob{ctx: ctx, tr: tr, name: name, res: &results[i], wg: &wg}
 		select {
-		case p.shards[shardIndex(name, len(p.shards))] <- job:
+		case p.shards[ShardIndex(name, len(p.shards))] <- job:
 		case <-ctx.Done():
 			// Canceled while a full shard held the submitter in
 			// backpressure: the batch is dead, so waiting for a slot would

@@ -111,8 +111,10 @@ func (e *Engine) runLocateJob(job locateJob, sc *locateScratch) {
 	*job.res = res
 }
 
-// shardIndex maps a beacon name onto one of n shards with FNV-1a.
-func shardIndex(name string, n int) int {
+// ShardIndex maps a beacon name onto one of n shards with 64-bit
+// FNV-1a. LocateAll's shard pool and the fleet's session shards both
+// use it, so a beacon's work stays on one CPU across both paths.
+func ShardIndex(name string, n int) int {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(name); i++ {
 		h ^= uint64(name[i])

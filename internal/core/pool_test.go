@@ -279,12 +279,12 @@ func TestShardIndexStable(t *testing.T) {
 	hit := make(map[int]bool)
 	for i := 0; i < 64; i++ {
 		name := fmt.Sprintf("beacon-%d", i)
-		s := shardIndex(name, n)
+		s := ShardIndex(name, n)
 		if s < 0 || s >= n {
-			t.Fatalf("shardIndex(%q, %d) = %d out of range", name, n, s)
+			t.Fatalf("ShardIndex(%q, %d) = %d out of range", name, n, s)
 		}
-		if s != shardIndex(name, n) {
-			t.Fatalf("shardIndex(%q) unstable", name)
+		if s != ShardIndex(name, n) {
+			t.Fatalf("ShardIndex(%q) unstable", name)
 		}
 		hit[s] = true
 	}

@@ -207,8 +207,10 @@ func (st *FileStore) writeMeta() error {
 	return nil
 }
 
-// shardIndex is FNV-1a over the beacon name — the same spread the
-// fleet uses for its session shards.
+// shardIndex is 32-bit FNV-1a over the beacon name. It is not
+// core.ShardIndex (64-bit) and must not become it: it decides which
+// on-disk WAL shard a beacon's records land in, so changing it would
+// strand the records of stores that already exist.
 func (st *FileStore) shardIndex(beacon string) int {
 	const (
 		offset32 = 2166136261

@@ -277,7 +277,7 @@ func (f *Fleet) PushBatchContext(ctx context.Context, obs []Obs) ([]Result, erro
 	nsh := len(f.shards)
 	batches := make([]shardBatch, nsh)
 	for g := range results {
-		si := shardIndex(results[g].Beacon, nsh)
+		si := core.ShardIndex(results[g].Beacon, nsh)
 		batches[si].groups = append(batches[si].groups, groupWork{
 			name: results[g].Beacon,
 			obs:  groupObs[g],
@@ -549,16 +549,4 @@ func (sh *shard) sweep() {
 		sh.f.met.evicted.Inc()
 		sh.f.met.live.Add(-1)
 	}
-}
-
-// shardIndex maps a beacon name onto one of n shards with FNV-1a (the
-// same hash core's LocateAll pool uses, so a beacon's work stays on one
-// CPU across both paths).
-func shardIndex(name string, n int) int {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	return int(h % uint64(n))
 }

@@ -21,12 +21,14 @@ package netproto
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"sync"
 )
 
@@ -677,6 +679,109 @@ func (w *wireWriter) writeStreamBatch(b *StreamBatch) error {
 	w.fb.beginFrame()
 	w.fb.b = appendStreamBatch(w.fb.b, b)
 	return flushFrame(w.w, w.fb.b)
+}
+
+// --- codec negotiation (client side) ---
+
+// codecConn is one client connection with its negotiated codec.
+type codecConn struct {
+	conn   net.Conn
+	br     *bufio.Reader
+	binary bool
+}
+
+// negotiation classifies the server's answer to a hello frame.
+type negotiation int
+
+const (
+	negotiatedBinary negotiation = iota
+	negotiatedJSON
+	negotiatedShed
+	negotiatedRefused
+)
+
+// dialCodec dials addr and settles the connection's codec (see
+// FleetDialConfig.Codec). CodecJSON sends no hello. Otherwise a hello
+// negotiates locb1; a refusal — an old (or binary-disabled) server
+// answered it with an error and closed — redials plain JSON, or fails
+// if locb1 is pinned. A shed answer is returned as negotiatedShed on
+// the still-open connection; the caller decides what overload means to
+// it.
+func dialCodec(ctx context.Context, addr, codec string) (codecConn, negotiation, error) {
+	d := net.Dialer{}
+	conn, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return codecConn{}, 0, err
+	}
+	cc := codecConn{conn: conn, br: bufio.NewReader(conn)}
+	if codec == CodecJSON {
+		return cc, negotiatedJSON, nil // pre-codec client behaviour: no hello frame
+	}
+	verdict, err := sayHello(ctx, cc)
+	if err != nil {
+		conn.Close()
+		return codecConn{}, 0, err
+	}
+	if verdict != negotiatedRefused {
+		cc.binary = verdict == negotiatedBinary
+		return cc, verdict, nil
+	}
+	conn.Close()
+	cc, err = redialJSON(ctx, addr, codec)
+	return cc, negotiatedJSON, err
+}
+
+// redialJSON is the fallback after a refused hello: a fresh plain-JSON
+// connection, so old and new deployments interoperate at the cost of
+// one extra round trip. It fails instead when locb1 is pinned.
+func redialJSON(ctx context.Context, addr, codec string) (codecConn, error) {
+	if codec == CodecBinary || codec == "binary" {
+		return codecConn{}, fmt.Errorf("netproto: %s does not speak %s", addr, CodecBinary)
+	}
+	d := net.Dialer{}
+	conn, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return codecConn{}, err
+	}
+	metCodecFallbacks.Inc()
+	return codecConn{conn: conn, br: bufio.NewReader(conn)}, nil
+}
+
+// sayHello sends the hello frame and classifies the answer. The hello
+// and its ack are always JSON, so any server — old or new — can read
+// and answer it.
+func sayHello(ctx context.Context, cc codecConn) (negotiation, error) {
+	dl := frameDeadline(ctx, FrameTimeout)
+	cc.conn.SetWriteDeadline(dl)
+	hello := struct {
+		Op    string `json:"op"`
+		Codec string `json:"codec"`
+	}{Op: "hello", Codec: CodecBinary}
+	if err := WriteFrame(cc.conn, &hello); err != nil {
+		return 0, err
+	}
+	cc.conn.SetReadDeadline(dl)
+	var ack struct {
+		Codec string `json:"codec"`
+		Err   string `json:"error"`
+	}
+	if err := ReadFrame(cc.br, &ack); err != nil {
+		// An old server may close on the unknown op without answering.
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return negotiatedRefused, nil
+		}
+		return 0, err
+	}
+	switch {
+	case ack.Codec == CodecBinary:
+		return negotiatedBinary, nil
+	case ack.Codec == CodecJSON:
+		return negotiatedJSON, nil
+	case ack.Err == "overloaded":
+		return negotiatedShed, nil
+	default:
+		return negotiatedRefused, nil
+	}
 }
 
 // --- reusable whole-frame encoder/decoder (benchmarks, fuzzing) ---

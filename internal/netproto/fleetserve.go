@@ -17,12 +17,10 @@
 package netproto
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -232,9 +230,7 @@ type fleetOutcome struct {
 // frame position is unknown); every pending and later call reports the
 // error, and the caller re-dials.
 type FleetClient struct {
-	conn   net.Conn
-	br     *bufio.Reader
-	binary bool
+	codecConn
 	// shed is set when the server shed the connection during codec
 	// negotiation: dialing still succeeds and the first exchange
 	// surfaces resilience.ErrOverloaded, preserving the pre-codec
@@ -255,10 +251,9 @@ type FleetClient struct {
 	started bool
 }
 
-func newFleetClient(conn net.Conn, window int) *FleetClient {
+func newFleetClient(cc codecConn, window int) *FleetClient {
 	return &FleetClient{
-		conn:       conn,
-		br:         bufio.NewReader(conn),
+		codecConn:  cc,
 		sem:        make(chan struct{}, window),
 		wake:       make(chan struct{}, 1),
 		readerDone: make(chan struct{}),
@@ -277,91 +272,15 @@ func DialFleet(ctx context.Context, addr string) (*FleetClient, error) {
 // control.
 func DialFleetWith(ctx context.Context, addr string, cfg FleetDialConfig) (*FleetClient, error) {
 	cfg = cfg.withDefaults()
-	d := net.Dialer{}
-	conn, err := d.DialContext(ctx, "tcp", addr)
+	cc, verdict, err := dialCodec(ctx, addr, cfg.Codec)
 	if err != nil {
 		return nil, err
 	}
-	c := newFleetClient(conn, cfg.Window)
-	if cfg.Codec == CodecJSON {
-		return c, nil // pre-codec client behaviour: no hello frame
-	}
-	verdict, err := c.negotiate(ctx)
-	switch {
-	case err != nil:
-		conn.Close()
-		return nil, err
-	case verdict == negotiatedBinary:
-		c.binary = true
-		return c, nil
-	case verdict == negotiatedJSON:
-		return c, nil
-	case verdict == negotiatedShed:
+	c := newFleetClient(cc, cfg.Window)
+	if verdict == negotiatedShed {
 		c.shed = fmt.Errorf("netproto: %s: %w", addr, resilience.ErrOverloaded)
-		return c, nil
 	}
-	// Refused: an old server (or DisableBinary) answered the hello with
-	// an error and closed. Re-dial and speak plain JSON — old and new
-	// deployments interoperate at the cost of one extra round trip.
-	conn.Close()
-	if cfg.Codec == CodecBinary || cfg.Codec == "binary" {
-		return nil, fmt.Errorf("netproto: %s does not speak %s", addr, CodecBinary)
-	}
-	conn, err = d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	metCodecFallbacks.Inc()
-	return newFleetClient(conn, cfg.Window), nil
-}
-
-type negotiation int
-
-const (
-	negotiatedBinary negotiation = iota
-	negotiatedJSON
-	negotiatedShed
-	negotiatedRefused
-)
-
-// negotiate sends the hello frame and classifies the answer. The hello
-// and its ack are always JSON, so any server — old or new — can read
-// and answer it.
-func (c *FleetClient) negotiate(ctx context.Context) (negotiation, error) {
-	dl := time.Now().Add(FrameTimeout)
-	if cdl, ok := ctx.Deadline(); ok && cdl.Before(dl) {
-		dl = cdl
-	}
-	c.conn.SetWriteDeadline(dl)
-	hello := struct {
-		Op    string `json:"op"`
-		Codec string `json:"codec"`
-	}{Op: "hello", Codec: CodecBinary}
-	if err := WriteFrame(c.conn, &hello); err != nil {
-		return 0, err
-	}
-	c.conn.SetReadDeadline(dl)
-	var ack struct {
-		Codec string `json:"codec"`
-		Err   string `json:"error"`
-	}
-	if err := ReadFrame(c.br, &ack); err != nil {
-		// An old server may close on the unknown op without answering.
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return negotiatedRefused, nil
-		}
-		return 0, err
-	}
-	switch {
-	case ack.Codec == CodecBinary:
-		return negotiatedBinary, nil
-	case ack.Codec == CodecJSON:
-		return negotiatedJSON, nil
-	case ack.Err == "overloaded":
-		return negotiatedShed, nil
-	default:
-		return negotiatedRefused, nil
-	}
+	return c, nil
 }
 
 // Codec reports the negotiated wire codec (CodecBinary or CodecJSON).
@@ -461,7 +380,7 @@ func (c *FleetClient) enqueue(ctx context.Context, kind int, write func() error)
 	wrote := false
 	if err == nil {
 		wrote = true
-		c.setWriteDeadline(ctx)
+		c.conn.SetWriteDeadline(frameDeadline(ctx, FrameTimeout))
 		err = write()
 	}
 	if err == nil {
@@ -551,14 +470,6 @@ func (c *FleetClient) readLoop() {
 	}
 }
 
-func (c *FleetClient) setWriteDeadline(ctx context.Context) {
-	dl := time.Now().Add(FrameTimeout)
-	if cdl, ok := ctx.Deadline(); ok && cdl.Before(dl) {
-		dl = cdl
-	}
-	c.conn.SetWriteDeadline(dl)
-}
-
 // writePush writes one push request frame. Callers hold c.wmu.
 func (c *FleetClient) writePush(obs []PushObs) error {
 	if c.binary {
@@ -575,15 +486,8 @@ func (c *FleetClient) writePush(obs []PushObs) error {
 
 // writeDrain writes one drain request frame. Callers hold c.wmu.
 func (c *FleetClient) writeDrain() error {
-	if c.binary {
-		c.wfb.beginFrame()
-		c.wfb.b = append(c.wfb.b, bfJSON)
-		if err := c.wfb.encodeJSONBody(map[string]string{"op": "drain"}); err != nil {
-			return err
-		}
-		return flushFrame(c.conn, c.wfb.b)
-	}
-	return WriteFrame(c.conn, map[string]string{"op": "drain"})
+	w := wireWriter{w: c.conn, binary: c.binary, fb: c.wfb}
+	return w.writeJSONy(map[string]string{"op": "drain"})
 }
 
 // exchangeError types an exchange-level error frame; "overloaded" maps

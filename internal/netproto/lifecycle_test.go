@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -355,7 +356,7 @@ func TestStreamServerShedsOverCap(t *testing.T) {
 	defer hold.Close()
 	// Wait until the holder is registered (admission happens at accept).
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.conns.len() == 0 {
+	for srv.activeConns() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("holder connection never registered")
 		}
@@ -478,5 +479,172 @@ func TestStreamSlowSubscriberSkipsAndResumes(t *testing.T) {
 	}
 	if next-1 != published {
 		t.Fatalf("replayed %d batches, want %d", next-1, published)
+	}
+}
+
+// TestFetchMetricsSurfacesErrorFrames: an {"error":…} reply to the
+// metrics op is an error, not an empty snapshot — a shed connection
+// as resilience.ErrOverloaded, anything else as a server error.
+func TestFetchMetricsSurfacesErrorFrames(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	srv, err := NewServerWithConfig("tgt", 0, ServerConfig{MaxConns: 1, Logf: quietLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.SetBundle(testBundle())
+
+	// Occupy the single slot with a live exchange.
+	hold, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hold.Close()
+	rawFetch(t, hold, bufio.NewReader(hold))
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if snap, err := FetchMetrics(ctx, srv.Addr()); !errors.Is(err, resilience.ErrOverloaded) {
+		t.Fatalf("FetchMetrics over cap = (%v, %v), want ErrOverloaded", snap, err)
+	}
+
+	// Any other error frame: a peer that answers every op with one.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var req map[string]string
+		if ReadFrame(bufio.NewReader(conn), &req) == nil {
+			WriteFrame(conn, map[string]string{"error": "unknown op"})
+		}
+	}()
+	snap, err := FetchMetrics(ctx, ln.Addr().String())
+	<-served
+	if err == nil || errors.Is(err, resilience.ErrOverloaded) || !strings.Contains(err.Error(), "server error: unknown op") {
+		t.Fatalf("FetchMetrics against an error frame = (%v, %v), want a server error", snap, err)
+	}
+}
+
+// TestStreamSubscriberOutlivesIdleTimeout: IdleTimeout guards Server
+// exchanges only. A stream subscriber with nothing to receive for
+// longer than it stays connected and gets the next batch.
+func TestStreamSubscriberOutlivesIdleTimeout(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	srv, err := NewStreamServerWithConfig("tgt", 0, ServerConfig{
+		IdleTimeout: 50 * time.Millisecond, Logf: quietLogf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetWriteDeadline(time.Now().Add(time.Second))
+	if err := WriteFrame(conn, subscribeReq{Op: "subscribe"}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for srv.Subscribers() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("subscriber never registered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	evictedBefore := metConnsEvicted.Value()
+
+	time.Sleep(250 * time.Millisecond) // five idle timeouts without a batch
+	if n := srv.Subscribers(); n != 1 {
+		t.Fatalf("subscribers after idling = %d, want 1", n)
+	}
+	if err := srv.Publish([]TimedRSS{{T: 1, RSS: -60}}, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	var b StreamBatch
+	if err := ReadFrame(bufio.NewReader(conn), &b); err != nil {
+		t.Fatalf("read batch after idling: %v", err)
+	}
+	if b.Seq != 1 || len(b.RSS) != 1 {
+		t.Fatalf("batch after idling = %+v, want seq 1", b)
+	}
+	if metConnsEvicted.Value() != evictedBefore {
+		t.Error("conns.evicted increased for an idle subscriber")
+	}
+}
+
+// TestStreamShutdownForcesOnDeadline: when the drain deadline passes
+// while a subscriber's write is stalled (it stopped reading), Shutdown
+// force-closes it, reports the context error, and leaves no goroutine
+// behind.
+func TestStreamShutdownForcesOnDeadline(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	srv, err := NewStreamServerWithConfig("tgt", 0, ServerConfig{SubBuffer: 1, Logf: quietLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	stuck, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stuck.Close()
+	stuck.SetWriteDeadline(time.Now().Add(time.Second))
+	if err := WriteFrame(stuck, subscribeReq{Op: "subscribe"}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Subscribers() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("subscriber never registered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Bulky batches fill the socket buffers until the handler's write
+	// blocks (under the default 5 s WriteTimeout). Frames are counted
+	// once written, so outbound bytes standing still for 300 ms while
+	// publishes are being skipped mean the write is stuck.
+	bulk := make([]TimedRSS, 8192)
+	for i := range bulk {
+		bulk[i] = TimedRSS{T: float64(i), RSS: -60}
+	}
+	stillFor, lastOut := 0, metBytesOut.Value()
+	for i := 0; i < 1000 && stillFor < 30; i++ {
+		skips := srv.SubscriberSkips()
+		if err := srv.Publish(bulk, nil, false); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(10 * time.Millisecond)
+		if out := metBytesOut.Value(); out != lastOut || srv.SubscriberSkips() == skips {
+			stillFor, lastOut = 0, out
+		} else {
+			stillFor++
+		}
+	}
+	if stillFor < 30 {
+		t.Fatal("subscriber write never stalled")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := srv.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Shutdown past deadline = %v, want DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("forced Shutdown took %v; the stalled write was not cut", d)
 	}
 }

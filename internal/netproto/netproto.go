@@ -222,106 +222,18 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	return c
 }
 
-// connTable tracks a server's live connections so lifecycle control can
-// reach them: admission capping, drain wake-ups, and force-close.
-type connTable struct {
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
-}
-
-func newConnTable() *connTable {
-	return &connTable{conns: make(map[net.Conn]struct{})}
-}
-
-// tryAdd registers conn unless the cap (when positive) is reached.
-func (t *connTable) tryAdd(conn net.Conn, max int) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if max > 0 && len(t.conns) >= max {
-		return false
-	}
-	t.conns[conn] = struct{}{}
-	return true
-}
-
-func (t *connTable) drop(conn net.Conn) {
-	t.mu.Lock()
-	delete(t.conns, conn)
-	t.mu.Unlock()
-}
-
-func (t *connTable) len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.conns)
-}
-
-// expireReads wakes handlers parked in a blocking read so they can
-// observe a drain in progress.
-func (t *connTable) expireReads() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for c := range t.conns {
-		c.SetReadDeadline(time.Now())
-	}
-}
-
-func (t *connTable) closeAll() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for c := range t.conns {
-		c.Close()
-	}
-}
-
-// shedConn rejects a connection under overload in a short-lived
-// goroutine tracked in wg (so drain waits for it): it first reads the
-// client's request — closing with unread data would turn into a TCP
-// reset that destroys the reply — then answers with one "overloaded"
-// frame and closes. Both deadlines are bounded by timeout, so a shed
-// lives at most ~2×timeout. The client's fetch surfaces the frame as
-// resilience.ErrOverloaded, which its retry policy backs off on.
-func shedConn(conn net.Conn, timeout time.Duration, wg *sync.WaitGroup) {
-	metConnsShed.Inc()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer conn.Close()
-		conn.SetReadDeadline(time.Now().Add(timeout))
-		var req struct {
-			Op string `json:"op"`
-		}
-		ReadFrame(bufio.NewReader(conn), &req)
-		conn.SetWriteDeadline(time.Now().Add(timeout))
-		WriteFrame(conn, map[string]string{"error": "overloaded"})
-	}()
-}
-
 // Server announces a device and serves its trace bundle. It listens for
 // discovery datagrams on UDP and serves trace fetches on TCP.
 type Server struct {
 	DeviceName string
 
-	cfg ServerConfig
+	serveCore
 
 	mu     sync.Mutex
 	bundle *TraceBundle
 	fleet  *fleet.Fleet // attached via SetFleet; nil refuses "push"
 
-	// drainCtx is canceled when a forced shutdown fires, releasing push
-	// exchanges held in fleet shard backpressure so the drain can't wedge
-	// on work that is no longer wanted.
-	drainCtx    context.Context
-	drainCancel context.CancelFunc
-
-	tcp net.Listener
 	udp net.PacketConn
-
-	conns *connTable
-
-	wg       sync.WaitGroup
-	stopOnce sync.Once
-	closed   chan struct{}
 
 	// handlerHook, if set, observes every decoded op before dispatch.
 	// Tests inject panics and stalls through it; it must be set before
@@ -362,23 +274,15 @@ func NewServerWithConfig(device string, port int, cfg ServerConfig) (*Server, er
 			return nil, fmt.Errorf("netproto: listen udp: %w", err)
 		}
 	}
-	s := &Server{
-		DeviceName: device,
-		cfg:        cfg.withDefaults(),
-		tcp:        tcp,
-		udp:        udp,
-		conns:      newConnTable(),
-		closed:     make(chan struct{}),
-	}
-	s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
-	s.wg.Add(2)
-	go s.serveTCP()
+	s := &Server{DeviceName: device, udp: udp}
+	s.start("netproto", tcp, cfg, s.handleConn, func() { s.udp.Close() })
+	s.wg.Add(1)
 	go s.serveUDP()
 	return s, nil
 }
 
 // Addr returns the TCP trace-exchange address.
-func (s *Server) Addr() string { return s.tcp.Addr().String() }
+func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // DiscoveryAddr returns the UDP discovery address.
 func (s *Server) DiscoveryAddr() string { return s.udp.LocalAddr().String() }
@@ -386,47 +290,14 @@ func (s *Server) DiscoveryAddr() string { return s.udp.LocalAddr().String() }
 // Close force-stops the server: listeners close, live connections are
 // closed immediately, and all goroutines are waited for. Use Shutdown
 // to drain in-flight exchanges instead.
-func (s *Server) Close() error {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	s.Shutdown(ctx)
-	return nil
-}
+func (s *Server) Close() error { return s.close() }
 
 // Shutdown gracefully stops the server: it stops accepting, lets each
 // in-flight frame exchange complete, and waits for the per-connection
 // handlers to drain. If ctx ends first, the remaining connections are
 // force-closed and the context's error is returned; a clean drain
 // returns nil. Safe to call multiple times and concurrently.
-func (s *Server) Shutdown(ctx context.Context) error {
-	first := false
-	s.stopOnce.Do(func() { close(s.closed); first = true })
-	s.tcp.Close()
-	s.udp.Close()
-	start := time.Now()
-	// Handlers parked between frames wake via an expired read and then
-	// observe the drain; handlers mid-exchange finish their frame.
-	s.conns.expireReads()
-	done := make(chan struct{})
-	go func() { s.wg.Wait(); close(done) }()
-	var forced error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		forced = ctx.Err()
-		// Release push exchanges parked in fleet backpressure before
-		// force-closing: their handlers block in the fleet, not in conn
-		// I/O, so closing the sockets alone would not unwedge them.
-		s.drainCancel()
-		s.conns.closeAll()
-		<-done
-	}
-	s.drainCancel()
-	if first {
-		metDrainSeconds.Observe(time.Since(start).Seconds())
-	}
-	return forced
-}
+func (s *Server) Shutdown(ctx context.Context) error { return s.shutdown(ctx) }
 
 func (s *Server) serveUDP() {
 	defer s.wg.Done()
@@ -437,7 +308,7 @@ func (s *Server) serveUDP() {
 			n, addr, err := s.udp.ReadFrom(buf)
 			if err != nil {
 				select {
-				case <-s.closed:
+				case <-s.stopped:
 					return nil
 				default:
 					return err
@@ -452,58 +323,10 @@ func (s *Server) serveUDP() {
 	})
 }
 
-func (s *Server) serveTCP() {
-	defer s.wg.Done()
-	sup := &resilience.Supervisor{Name: "netproto.accept", Logf: s.cfg.Logf}
-	sup.Run(context.Background(), func(context.Context) error {
-		return s.acceptLoop()
-	})
-}
-
-func (s *Server) acceptLoop() error {
-	for {
-		conn, err := s.tcp.Accept()
-		if err != nil {
-			select {
-			case <-s.closed:
-				return nil
-			default:
-				return err // supervisor restarts the loop
-			}
-		}
-		if !s.admit(conn) {
-			continue
-		}
-		s.wg.Add(1)
-		go s.handleConn(conn)
-	}
-}
-
-// admit applies the token-bucket limiter and the connection cap,
-// shedding the connection when either denies.
-func (s *Server) admit(conn net.Conn) bool {
-	if !s.cfg.Admit.Allow() || !s.conns.tryAdd(conn, s.cfg.MaxConns) {
-		shedConn(conn, s.cfg.WriteTimeout, &s.wg)
-		return false
-	}
-	metConnsActive.Add(1)
-	return true
-}
-
-// handleConn serves one trace-exchange connection. It is panic-isolated
-// (a handler panic closes this connection only), watchdog-guarded (a
-// stalled exchange is evicted), and drain-aware (between frames it
-// observes shutdown and exits).
+// handleConn serves one trace-exchange connection. It is watchdog-
+// guarded (a stalled exchange is evicted) and drain-aware (between
+// frames it observes shutdown and exits).
 func (s *Server) handleConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.conns.drop(conn)
-		metConnsActive.Add(-1)
-	}()
-	defer resilience.CatchPanic("netproto.conn", s.cfg.Logf, func(any) {
-		metPanicsRecovered.Inc()
-	})()
 	wd := resilience.NewWatchdog(s.cfg.IdleTimeout, func() {
 		metConnsEvicted.Inc()
 		conn.Close() // unblocks any pending I/O; the handler then exits
@@ -521,7 +344,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	first := true
 	for {
 		select {
-		case <-s.closed:
+		case <-s.stopped:
 			return
 		default:
 		}
@@ -671,75 +494,69 @@ func Fetch(ctx context.Context, addr string) (*TraceBundle, error) {
 // FetchWithRetry is Fetch under an explicit retry policy. A
 // Retry{MaxAttempts: 1} makes it single-shot.
 func FetchWithRetry(ctx context.Context, addr string, policy Retry) (*TraceBundle, error) {
-	var b *TraceBundle
+	var b TraceBundle
 	err := policy.Do(ctx, func() error {
-		var ferr error
-		b, ferr = fetchOnce(ctx, addr)
-		return ferr
+		b = TraceBundle{} // a failed attempt must not leak into the next
+		return exchangeOnce(ctx, addr, "fetch", &b)
 	})
-	return b, err
+	if err != nil {
+		return nil, err
+	}
+	return &b, nil
 }
 
 // FetchMetrics retrieves a server's process-wide metric snapshot (the
 // "metrics" op) from its TCP trace-exchange address.
 func FetchMetrics(ctx context.Context, addr string) (*obs.Snapshot, error) {
-	d := net.Dialer{}
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	dl := time.Now().Add(FrameTimeout)
-	if cdl, ok := ctx.Deadline(); ok && cdl.Before(dl) {
-		dl = cdl
-	}
-	conn.SetWriteDeadline(dl)
-	if err := WriteFrame(conn, map[string]string{"op": "metrics"}); err != nil {
-		return nil, err
-	}
-	conn.SetReadDeadline(dl)
 	var snap obs.Snapshot
-	if err := ReadFrame(bufio.NewReader(conn), &snap); err != nil {
+	if err := exchangeOnce(ctx, addr, "metrics", &snap); err != nil {
 		return nil, err
 	}
 	return &snap, nil
 }
 
-// fetchOnce performs one fetch exchange with per-frame deadlines.
-func fetchOnce(ctx context.Context, addr string) (*TraceBundle, error) {
+// exchangeOnce dials addr, sends the one-frame request {"op":op} and
+// decodes the single JSON reply into resp, with per-frame deadlines. An
+// {"error":…} reply is returned as an exchange error: "overloaded" (a
+// shed connection) as resilience.ErrOverloaded, so the retry policy or
+// the caller's breaker can back off, anything else as a server error.
+func exchangeOnce(ctx context.Context, addr, op string, resp any) error {
 	d := net.Dialer{}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer conn.Close()
-	frameDeadline := func() time.Time {
-		dl := time.Now().Add(FrameTimeout)
-		if cdl, ok := ctx.Deadline(); ok && cdl.Before(dl) {
-			dl = cdl
-		}
-		return dl
+	conn.SetWriteDeadline(frameDeadline(ctx, FrameTimeout))
+	if err := WriteFrame(conn, map[string]string{"op": op}); err != nil {
+		return err
 	}
-	conn.SetWriteDeadline(frameDeadline())
-	if err := WriteFrame(conn, map[string]string{"op": "fetch"}); err != nil {
-		return nil, err
+	conn.SetReadDeadline(frameDeadline(ctx, FrameTimeout))
+	fb := getFrameBuf()
+	defer putFrameBuf(fb)
+	body, err := readFrameBody(conn, fb)
+	if err != nil {
+		return err
 	}
-	conn.SetReadDeadline(frameDeadline())
-	var resp struct {
-		TraceBundle
+	var reply struct {
 		Err string `json:"error"`
 	}
-	if err := ReadFrame(bufio.NewReader(conn), &resp); err != nil {
-		return nil, err
+	if err := json.Unmarshal(body, &reply); err != nil {
+		return err
 	}
-	switch resp.Err {
-	case "":
-		return &resp.TraceBundle, nil
-	case "overloaded":
-		// A shed connection: typed so the retry policy (or the caller's
-		// breaker) can back off and try again once load clears.
-		return nil, fmt.Errorf("netproto: fetch %s: %w", addr, resilience.ErrOverloaded)
-	default:
-		return nil, fmt.Errorf("netproto: fetch %s: server error: %s", addr, resp.Err)
+	accountFrameIn(len(body))
+	if reply.Err != "" {
+		return exchangeError(op+" "+addr, reply.Err)
 	}
+	return json.Unmarshal(body, resp)
+}
+
+// frameDeadline is the deadline for the next frame: d from now, or the
+// context's deadline if that comes first.
+func frameDeadline(ctx context.Context, d time.Duration) time.Time {
+	dl := time.Now().Add(d)
+	if cdl, ok := ctx.Deadline(); ok && cdl.Before(dl) {
+		dl = cdl
+	}
+	return dl
 }

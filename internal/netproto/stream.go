@@ -6,13 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"locble/internal/resilience"
 )
 
 // Streaming extends the bundle exchange with a live mode: during a
@@ -61,20 +58,13 @@ var StreamIdleTimeout = 30 * time.Second
 type StreamServer struct {
 	DeviceName string
 
-	cfg ServerConfig
-	ln  net.Listener
+	serveCore
 
 	mu      sync.Mutex
 	subs    map[net.Conn]chan StreamBatch
 	history []StreamBatch
 	seq     int
 	closed  bool // final published or Close called; history still served
-
-	conns *connTable
-
-	wg       sync.WaitGroup
-	stopOnce sync.Once
-	stopped  chan struct{}
 
 	skips atomic.Int64
 
@@ -97,16 +87,8 @@ func NewStreamServerWithConfig(device string, port int, cfg ServerConfig) (*Stre
 	if err != nil {
 		return nil, fmt.Errorf("netproto: stream listen: %w", err)
 	}
-	s := &StreamServer{
-		DeviceName: device,
-		cfg:        cfg.withDefaults(),
-		ln:         ln,
-		subs:       make(map[net.Conn]chan StreamBatch),
-		conns:      newConnTable(),
-		stopped:    make(chan struct{}),
-	}
-	s.wg.Add(1)
-	go s.accept()
+	s := &StreamServer{DeviceName: device, subs: make(map[net.Conn]chan StreamBatch)}
+	s.start("netproto.stream", ln, cfg, s.serve, s.publishDraining)
 	return s, nil
 }
 
@@ -128,42 +110,9 @@ func (s *StreamServer) Subscribers() int {
 	return len(s.subs)
 }
 
-func (s *StreamServer) accept() {
-	defer s.wg.Done()
-	sup := &resilience.Supervisor{Name: "netproto.stream.accept", Logf: s.cfg.Logf}
-	sup.Run(context.Background(), func(context.Context) error {
-		for {
-			conn, err := s.ln.Accept()
-			if err != nil {
-				select {
-				case <-s.stopped:
-					return nil
-				default:
-					return err // supervisor restarts the loop
-				}
-			}
-			if !s.cfg.Admit.Allow() || !s.conns.tryAdd(conn, s.cfg.MaxConns) {
-				shedConn(conn, s.cfg.WriteTimeout, &s.wg)
-				continue
-			}
-			metConnsActive.Add(1)
-			s.wg.Add(1)
-			go s.serve(conn)
-		}
-	})
-}
-
+// serve answers one subscriber connection: codec negotiation, the
+// subscribe frame, the history replay, then live batches.
 func (s *StreamServer) serve(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		conn.Close()
-		s.conns.drop(conn)
-		metConnsActive.Add(-1)
-	}()
-	defer resilience.CatchPanic("netproto.stream.conn", s.cfg.Logf, func(any) {
-		metPanicsRecovered.Inc()
-	})()
-
 	// First frame: an optional codec hello, then the subscribe frame
 	// saying where to resume from.
 	rd := &connReader{br: bufio.NewReader(conn), fb: getFrameBuf()}
@@ -268,19 +217,18 @@ func (s *StreamServer) Publish(rss []TimedRSS, motion []MotionPoint, final bool)
 	if s.closed {
 		return ErrStreamClosed
 	}
-	s.seq++
-	b := StreamBatch{Seq: s.seq, RSS: rss, Motion: motion, Final: final}
-	s.history = append(s.history, b)
-	s.broadcastLocked(b)
-	if final {
-		s.endSessionLocked()
-	}
+	s.publishLocked(StreamBatch{RSS: rss, Motion: motion, Final: final})
 	return nil
 }
 
-// broadcastLocked offers b to every live subscriber, skipping (and
-// counting) those whose buffers are full.
-func (s *StreamServer) broadcastLocked(b StreamBatch) {
+// publishLocked numbers b, appends it to the history and offers it to
+// every live subscriber, skipping (and counting) those whose buffers
+// are full. A final batch ends the session: every live subscriber
+// channel closes and no new live registrations are accepted.
+func (s *StreamServer) publishLocked(b StreamBatch) {
+	s.seq++
+	b.Seq = s.seq
+	s.history = append(s.history, b)
 	for _, ch := range s.subs {
 		select {
 		case ch <- b:
@@ -289,16 +237,26 @@ func (s *StreamServer) broadcastLocked(b StreamBatch) {
 			metSubSkips.Inc()
 		}
 	}
-}
-
-// endSessionLocked closes every live subscriber channel and stops
-// accepting new live registrations.
-func (s *StreamServer) endSessionLocked() {
+	if !b.Final {
+		return
+	}
 	s.closed = true
 	for _, ch := range s.subs {
 		close(ch)
 	}
 	s.subs = map[net.Conn]chan StreamBatch{}
+}
+
+// publishDraining is the stopping hook: if the session is still live,
+// it ends it with a terminal batch marked Final and Draining, so
+// subscribers learn the stream ended because of shutdown, not
+// measurement end.
+func (s *StreamServer) publishDraining() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.publishLocked(StreamBatch{Final: true, Draining: true})
+	}
 }
 
 // Shutdown gracefully stops the server. If the session is still live, a
@@ -307,50 +265,13 @@ func (s *StreamServer) endSessionLocked() {
 // the listener closes and in-flight sends drain. If ctx ends first, the
 // remaining connections are force-closed and the context's error
 // returned. Safe to call multiple times and concurrently.
-func (s *StreamServer) Shutdown(ctx context.Context) error {
-	first := false
-	s.stopOnce.Do(func() { close(s.stopped); first = true })
-	s.ln.Close()
-	start := time.Now()
-	if first {
-		s.mu.Lock()
-		if !s.closed {
-			s.seq++
-			b := StreamBatch{Seq: s.seq, Final: true, Draining: true}
-			s.history = append(s.history, b)
-			s.broadcastLocked(b)
-			s.endSessionLocked()
-		}
-		s.mu.Unlock()
-	}
-	// Wake handshake waiters parked in their hello-frame read.
-	s.conns.expireReads()
-	done := make(chan struct{})
-	go func() { s.wg.Wait(); close(done) }()
-	var forced error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		forced = ctx.Err()
-		s.conns.closeAll()
-		<-done
-	}
-	if first {
-		metDrainSeconds.Observe(time.Since(start).Seconds())
-	}
-	return forced
-}
+func (s *StreamServer) Shutdown(ctx context.Context) error { return s.shutdown(ctx) }
 
 // Close is the hard stop: subscribers are cut immediately (after the
 // terminal draining batch, if the session was still live) and all
 // goroutines are waited for. Publish(…, final=true) is the graceful end
 // of session; Shutdown the graceful end of serving.
-func (s *StreamServer) Close() error {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	s.Shutdown(ctx)
-	return nil
-}
+func (s *StreamServer) Close() error { return s.close() }
 
 // Subscribe dials a StreamServer and delivers batches in order on the
 // returned channel until the stream ends or the context is cancelled.
@@ -398,123 +319,42 @@ func SubscribeCodec(ctx context.Context, addr, codec string) (<-chan StreamBatch
 	return out, nil
 }
 
-// subConn is one subscriber connection with its negotiated codec.
-type subConn struct {
-	conn   net.Conn
-	br     *bufio.Reader
-	binary bool
-}
-
 // dialSubscribe opens a stream connection, negotiates the codec, and
 // sends the subscribe frame in whatever codec was agreed.
-func dialSubscribe(ctx context.Context, addr string, from int, codec string) (*subConn, error) {
-	d := net.Dialer{}
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	sc := &subConn{conn: conn, br: bufio.NewReader(conn)}
-	if codec != CodecJSON {
-		done, err := sc.negotiate(ctx)
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		if !done {
-			// Refused: an old (or binary-disabled) server answered the
-			// hello with an error and closed. Fall back to plain JSON on
-			// a fresh connection.
-			conn.Close()
-			if codec == CodecBinary || codec == "binary" {
-				return nil, fmt.Errorf("netproto: %s does not speak %s", addr, CodecBinary)
-			}
-			conn, err = d.DialContext(ctx, "tcp", addr)
-			if err != nil {
-				return nil, err
-			}
-			metCodecFallbacks.Inc()
-			sc = &subConn{conn: conn, br: bufio.NewReader(conn)}
-		}
-	}
-	sc.conn.SetWriteDeadline(time.Now().Add(FrameTimeout))
-	req := subscribeReq{Op: "subscribe", From: from}
-	if sc.binary {
-		fb := getFrameBuf()
-		fb.beginFrame()
-		fb.b = append(fb.b, bfJSON)
-		err = fb.encodeJSONBody(req)
-		if err == nil {
-			err = flushFrame(sc.conn, fb.b)
-		}
-		putFrameBuf(fb)
-	} else {
-		err = WriteFrame(sc.conn, req)
+func dialSubscribe(ctx context.Context, addr string, from int, codec string) (codecConn, error) {
+	cc, verdict, err := dialCodec(ctx, addr, codec)
+	if err == nil && verdict == negotiatedShed {
+		// Redial plain, as on a refusal. A shed will shed the retry too,
+		// and the reconnect loop backs off on it exactly as the
+		// pre-codec subscriber did.
+		cc.conn.Close()
+		cc, err = redialJSON(ctx, addr, codec)
 	}
 	if err != nil {
-		sc.conn.Close()
-		return nil, err
+		return codecConn{}, err
 	}
-	return sc, nil
-}
-
-// negotiate sends the hello frame and reads the answer. done=true
-// means negotiation concluded on this connection (sc.binary says which
-// codec); done=false means the server refused the hello entirely and
-// the caller should fall back to a fresh JSON connection.
-func (sc *subConn) negotiate(ctx context.Context) (done bool, err error) {
-	dl := time.Now().Add(FrameTimeout)
-	if cdl, ok := ctx.Deadline(); ok && cdl.Before(dl) {
-		dl = cdl
+	cc.conn.SetWriteDeadline(time.Now().Add(FrameTimeout))
+	w := wireWriter{w: cc.conn, binary: cc.binary, fb: getFrameBuf()}
+	err = w.writeJSONy(subscribeReq{Op: "subscribe", From: from})
+	putFrameBuf(w.fb)
+	if err != nil {
+		cc.conn.Close()
+		return codecConn{}, err
 	}
-	sc.conn.SetWriteDeadline(dl)
-	hello := struct {
-		Op    string `json:"op"`
-		Codec string `json:"codec"`
-	}{Op: "hello", Codec: CodecBinary}
-	if err := WriteFrame(sc.conn, &hello); err != nil {
-		return false, err
-	}
-	sc.conn.SetReadDeadline(dl)
-	var ack struct {
-		Codec string `json:"codec"`
-		Err   string `json:"error"`
-	}
-	if err := ReadFrame(sc.br, &ack); err != nil {
-		// An old server may close on the unknown op without answering.
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return false, nil
-		}
-		return false, err
-	}
-	switch ack.Codec {
-	case CodecBinary:
-		sc.binary = true
-		return true, nil
-	case CodecJSON:
-		return true, nil
-	default:
-		// Error answer ("unknown op", overload shed): redial plain. A
-		// shed will shed the retry too, and the reconnect loop backs
-		// off on it exactly as the pre-codec subscriber did.
-		return false, nil
-	}
+	return cc, nil
 }
 
 // pump reads batches from one connection into out until the stream ends
 // (nil error), the context is cancelled (nil), or the connection fails
 // (the read error). It returns the last sequence number delivered.
-func pump(ctx context.Context, sc *subConn, last int, out chan<- StreamBatch) (int, error) {
+func pump(ctx context.Context, sc codecConn, last int, out chan<- StreamBatch) (int, error) {
 	var fb *frameBuf
 	if sc.binary {
 		fb = getFrameBuf()
 		defer putFrameBuf(fb)
 	}
 	for {
-		dl := time.Now().Add(StreamIdleTimeout)
-		if cdl, ok := ctx.Deadline(); ok && cdl.Before(dl) {
-			dl = cdl
-		}
-		sc.conn.SetReadDeadline(dl)
+		sc.conn.SetReadDeadline(frameDeadline(ctx, StreamIdleTimeout))
 		var b StreamBatch
 		var err error
 		if sc.binary {

@@ -9,7 +9,7 @@ import (
 // remain, and tokens refill continuously at Rate per second up to
 // Burst. A connection-accept loop calls Allow once per connection;
 // denials are shed (counted in "resilience.limiter.denied"), never
-// queued — the bucket bounds *rate*, the Queue bounds *backlog*.
+// queued — the bucket bounds *rate*, not backlog.
 // Safe for concurrent use.
 type TokenBucket struct {
 	mu     sync.Mutex
