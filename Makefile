@@ -67,7 +67,8 @@ soak:
 
 # Short coverage-guided shake of every fuzz target (decoder robustness:
 # BLE deframing/AD parsing/beacon decoding, netproto frame reading,
-# trace-file loading, durable WAL replay).
+# trace-file loading, durable WAL replay) plus the robust median/MAD
+# selection kernel against its sort-based reference.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDeframe -fuzztime=$(FUZZTIME) ./internal/ble/
 	$(GO) test -run='^$$' -fuzz=FuzzParseADStructures -fuzztime=$(FUZZTIME) ./internal/ble/
@@ -76,6 +77,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzBinaryFrame -fuzztime=$(FUZZTIME) ./internal/netproto/
 	$(GO) test -run='^$$' -fuzz=FuzzLoadTrace -fuzztime=$(FUZZTIME) ./internal/sim/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/durable/
+	$(GO) test -run='^$$' -fuzz=FuzzMedianMatchesSort -fuzztime=$(FUZZTIME) ./internal/robust/
 
 # Total-statement-coverage floor for `make cover`: the measured total
 # when the floor was last set (84.9%) minus a 2-point slack. Raise it

@@ -43,3 +43,19 @@ func BenchmarkRunSegmented(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFitProbeHuber times one complete Huber IRLS inner-fit
+// minimization on an L-walk with periodic gross outliers: the kernel
+// the robust path repeats for every Nelder–Mead start.
+func BenchmarkFitProbeHuber(b *testing.B) {
+	obs := withOutliers(synthObs(5.5, 2, -60, 2.2, lPath(4, 4, 0.15), 1.5, rng.New(11)))
+	cfg := DefaultConfig()
+	cfg.Loss = LossHuber
+	s := NewSolver()
+	s.FitProbe(obs, cfg, 3, 1) // size every arena
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.FitProbe(obs, cfg, 3, 1)
+	}
+}

@@ -83,7 +83,7 @@ const (
 // dbFitAt evaluates, so (n, Γ, score) — and therefore the entire
 // position search — reproduce the squared-loss results bit-for-bit.
 func (s *Solver) robustFitAt(obs []Obs, x, h float64, cfg *Config) (n, gamma, score float64, down int) {
-	n, gamma, _ = s.dbFitAt(obs, x, h, cfg.NMin, cfg.NMax) // fills s.gs
+	n, gamma = s.dbCoefAt(obs, x, h, cfg.NMin, cfg.NMax) // fills s.gs
 	m := len(obs)
 	s.rr = growFloats(s.rr, m)
 	s.w = growFloats(s.w, m)

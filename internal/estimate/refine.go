@@ -13,6 +13,19 @@ import "math"
 // hottest function in the pipeline, called for every objective
 // evaluation of every Nelder–Mead iteration — allocates nothing.
 func (s *Solver) dbFitAt(obs []Obs, x, h, nMin, nMax float64) (n, gamma, ss float64) {
+	n, gamma = s.dbCoefAt(obs, x, h, nMin, nMax)
+	gs := s.gs
+	for i, o := range obs {
+		r := o.RSS - (gamma - 10*n*gs[i])
+		ss += r * r
+	}
+	return n, gamma, ss
+}
+
+// dbCoefAt is dbFitAt's closed-form coefficient fit without the
+// residual pass: it fills the gs arena and returns (n, Γ). The IRLS
+// path starts from it and scores residuals under its own loss.
+func (s *Solver) dbCoefAt(obs []Obs, x, h, nMin, nMax float64) (n, gamma float64) {
 	var sg, sr, sgg, sgr float64
 	nn := float64(len(obs))
 	s.gs = growFloats(s.gs, len(obs))
@@ -44,11 +57,7 @@ func (s *Solver) dbFitAt(obs []Obs, x, h, nMin, nMax float64) (n, gamma, ss floa
 	}
 	n = math.Min(math.Max(n, nMin), nMax)
 	gamma = (sr + 10*n*sg) / nn
-	for i, o := range obs {
-		r := o.RSS - (gamma - 10*n*gs[i])
-		ss += r * r
-	}
-	return n, gamma, ss
+	return n, gamma
 }
 
 // ringInits proposes starting positions for the position search: the

@@ -15,6 +15,7 @@ package faults
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"locble/internal/rng"
@@ -76,11 +77,18 @@ func ApplyRSS(obs []sim.BeaconObservation, seed int64, fs ...Fault) []sim.Beacon
 }
 
 // eachBeacon applies fn to every beacon's observation slice and stores
-// the result back, keeping map iteration order out of the random stream
-// by splitting a per-beacon source keyed on a stable hash of the name.
+// the result back. Each beacon gets a source split off src and keyed on
+// a stable hash of its name; Split draws from src, so the beacons are
+// visited in sorted name order to keep map iteration order out of the
+// random streams.
 func eachBeacon(tr *sim.Trace, src *rng.Source, fn func(obs []sim.BeaconObservation, src *rng.Source) []sim.BeaconObservation) {
-	for name, obs := range tr.Observations {
-		tr.Observations[name] = fn(obs, src.Split(nameKey(name)))
+	names := make([]string, 0, len(tr.Observations))
+	for name := range tr.Observations {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		tr.Observations[name] = fn(tr.Observations[name], src.Split(nameKey(name)))
 	}
 }
 

@@ -264,3 +264,49 @@ func TestChainNameAndApplyRSS(t *testing.T) {
 		t.Fatal("ApplyRSS mutated its input slice length")
 	}
 }
+
+// TestApplyDeterministicAcrossBeacons pins seed determinism on a trace
+// with several beacons: every beacon's random stream is split off one
+// parent stream, so the split order must not follow Go's randomized map
+// iteration. Six applications with one seed must agree exactly.
+func TestApplyDeterministicAcrossBeacons(t *testing.T) {
+	base, err := sim.Run(sim.Scenario{
+		Beacons: []sim.BeaconSpec{
+			{Name: "alpha", X: 6, Y: 3},
+			{Name: "bravo", X: 2, Y: 5},
+			{Name: "charlie", X: 7, Y: -1},
+		},
+		ObserverPlan: imu.Plan{Segments: imu.LShape(0, 4, 4)},
+		EnvModel:     sim.StaticEnv(rf.LOS),
+		Seed:         5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first map[string][]sim.BeaconObservation
+	for call := 0; call < 6; call++ {
+		tr := *base
+		tr.Observations = make(map[string][]sim.BeaconObservation, len(base.Observations))
+		for name, obs := range base.Observations {
+			tr.Observations[name] = append([]sim.BeaconObservation(nil), obs...)
+		}
+		Apply(&tr, 1, RandomDrop{Prob: 0.2}, ImpulseBurst{})
+		if call == 0 {
+			first = tr.Observations
+			continue
+		}
+		for name, want := range first {
+			got := tr.Observations[name]
+			if len(got) != len(want) {
+				t.Fatalf("call %d, beacon %s: %d observations survived, first call kept %d", call+1, name, len(got), len(want))
+			}
+			for i := range got {
+				if math.Float64bits(got[i].T) != math.Float64bits(want[i].T) ||
+					math.Float64bits(got[i].RSSI) != math.Float64bits(want[i].RSSI) {
+					t.Fatalf("call %d, beacon %s, sample %d: (t=%v, rssi=%v), first call (t=%v, rssi=%v)",
+						call+1, name, i, got[i].T, got[i].RSSI, want[i].T, want[i].RSSI)
+				}
+			}
+		}
+	}
+}

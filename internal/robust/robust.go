@@ -13,7 +13,8 @@ package robust
 
 import (
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // MADScaleFactor converts a median absolute deviation into a
@@ -21,25 +22,123 @@ import (
 // σ ≈ 1.4826·MAD (the reciprocal of Φ⁻¹(3/4)).
 const MADScaleFactor = 1.4826
 
-// MedianInPlace sorts xs in place and returns its median (the mean of
-// the two central order statistics for even lengths). It returns NaN
-// for an empty slice. No allocation: the caller donates the slice.
+// MedianInPlace partially orders xs in place and returns its median
+// (the mean of the two central order statistics for even lengths). It
+// returns NaN for an empty slice. The central order statistics are
+// found by linear-time selection, and they are exactly the elements
+// sort.Float64s would put at those positions (NaN orders below every
+// number), so the result is the same float64 a sort-based median
+// yields. On return xs is a permutation of its input, ordered only
+// around the middle. No allocation: the caller donates the slice.
 func MedianInPlace(xs []float64) float64 {
 	n := len(xs)
 	if n == 0 {
 		return math.NaN()
 	}
-	sort.Float64s(xs)
+	k := n / 2
+	hi := selectInPlace(xs, k)
 	if n%2 == 1 {
-		return xs[n/2]
+		return hi
 	}
-	return (xs[n/2-1] + xs[n/2]) / 2
+	// Selection left every element that sorts before index k in xs[:k],
+	// so the lower middle is the largest of them under the sort order.
+	lo := math.NaN()
+	for _, x := range xs[:k] {
+		if x > lo || lo != lo {
+			lo = x
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// selectInPlace reorders xs so that xs[k] holds the element
+// sort.Float64s would place at index k, every element before it sorts
+// no later and every element after it no earlier, and returns xs[k].
+// NaNs are first moved to the front (sort.Float64s orders them below
+// everything); the rest is a quickselect with median-of-three pivots
+// that sorts whatever range is left after 2·log₂n partitioning rounds,
+// so its worst case is the sort's O(n log n) and its typical cost is
+// linear.
+func selectInPlace(xs []float64, k int) float64 {
+	nan := 0
+	for i, x := range xs {
+		if x != x {
+			xs[i], xs[nan] = xs[nan], x
+			nan++
+		}
+	}
+	if k < nan {
+		return xs[k]
+	}
+	return quickselect(xs, nan, len(xs)-1, k, 2*bits.Len(uint(len(xs)-nan)))
+}
+
+// quickselect runs selectInPlace's partitioning on the NaN-free range
+// xs[lo..hi], which holds index k, giving up after depth rounds.
+func quickselect(xs []float64, lo, hi, k, depth int) float64 {
+	for ; hi-lo > 16; depth-- {
+		if depth == 0 {
+			slices.Sort(xs[lo : hi+1])
+			return xs[k]
+		}
+		// Median of three samples, taken at the quartiles and the middle
+		// so that organ-pipe and sawtooth inputs still split evenly; the
+		// samples are moved to lo, mid and hi and ordered there, so
+		// xs[lo] ≤ pivot ≤ xs[hi] bounds both partition scans below.
+		mid := lo + (hi-lo)/2
+		q := (hi - lo) / 4
+		xs[lo], xs[lo+q] = xs[lo+q], xs[lo]
+		xs[hi], xs[hi-q] = xs[hi-q], xs[hi]
+		if xs[mid] < xs[lo] {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if xs[hi] < xs[lo] {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if xs[hi] < xs[mid] {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		p := xs[mid]
+		// Hoare partition; both scans stop on elements equal to the
+		// pivot, which keeps runs of duplicates balanced.
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < p {
+				i++
+			}
+			for p < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// Now xs[lo..j] ≤ p ≤ xs[i..hi], and everything between equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return xs[k]
+		}
+	}
+	// Short range: insertion sort finishes it.
+	for i := lo + 1; i <= hi; i++ {
+		for j := i; j > lo && xs[j] < xs[j-1]; j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
+	}
+	return xs[k]
 }
 
 // MADInto computes the median and the median absolute deviation of xs
 // using scratch as working storage. scratch is resized (reallocating
 // only when its capacity is insufficient) and returned so callers can
-// retain the grown buffer; xs itself is not modified.
+// retain the grown buffer; on return it holds the absolute deviations,
+// partially ordered (see MedianInPlace). xs itself is not modified.
 func MADInto(xs, scratch []float64) (median, mad float64, grown []float64) {
 	n := len(xs)
 	if cap(scratch) < n {
@@ -146,15 +245,14 @@ func RobustMax(xs []float64, topQ, guard float64, scratch []float64) (idx int, v
 	}
 	_, mad, scratch := MADInto(xs, scratch)
 	sigma := Scale(mad, 0.25)
-	// scratch currently holds |x − median| values; reuse it sorted by
-	// value to read the top quantile.
-	copy(scratch, xs)
-	sort.Float64s(scratch)
 	if topQ <= 0 || topQ >= 1 {
 		topQ = 0.95
 	}
-	qi := int(topQ * float64(n-1))
-	cap_ := scratch[qi] + guard*sigma
+	// scratch holds |x − median| values; refill it with xs and select
+	// the top quantile's order statistic.
+	copy(scratch, xs)
+	q := selectInPlace(scratch, int(topQ*float64(n-1)))
+	cap_ := q + guard*sigma
 	idx, v = -1, math.Inf(-1)
 	for i, x := range xs {
 		if x > v && x <= cap_ {

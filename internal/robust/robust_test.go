@@ -1,8 +1,13 @@
 package robust
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
+	"sort"
 	"testing"
+
+	"locble/internal/rng"
 )
 
 func TestMedianInPlace(t *testing.T) {
@@ -144,4 +149,225 @@ func TestRobustMaxEmpty(t *testing.T) {
 	if idx != -1 || !math.IsNaN(v) {
 		t.Errorf("empty RobustMax = (%d, %v)", idx, v)
 	}
+}
+
+// sortMedian is the sort-based reference the selection kernel must
+// reproduce: sort a copy with sort.Float64s and read the middle.
+func sortMedian(xs []float64) float64 {
+	n := len(xs)
+	if n == 0 {
+		return math.NaN()
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// sortMAD is the sort-based reference median and MAD.
+func sortMAD(xs []float64) (median, mad float64) {
+	if len(xs) == 0 {
+		return math.NaN(), math.NaN()
+	}
+	median = sortMedian(xs)
+	dev := make([]float64, len(xs))
+	for i, x := range xs {
+		dev[i] = math.Abs(x - median)
+	}
+	return median, sortMedian(dev)
+}
+
+// sameOrderStat reports whether got is the value the sort-based
+// reference produced: the same bits, or NaN for NaN. The one freedom is
+// a signed zero: −0 and +0 are equal under sort.Float64s's order, so
+// which of them the sort leaves at a position depends on its swap
+// sequence, not on the data; when the input holds both, any zero
+// matches a zero.
+func sameOrderStat(got, want float64, in []float64) bool {
+	if math.IsNaN(got) || math.IsNaN(want) {
+		return math.IsNaN(got) && math.IsNaN(want)
+	}
+	if math.Float64bits(got) == math.Float64bits(want) {
+		return true
+	}
+	if got != 0 || want != 0 {
+		return false
+	}
+	var pos, neg bool
+	for _, x := range in {
+		if x == 0 {
+			if math.Signbit(x) {
+				neg = true
+			} else {
+				pos = true
+			}
+		}
+	}
+	return pos && neg
+}
+
+// sortedBits returns the bit patterns of xs in ascending order: a
+// multiset fingerprint that tells signed zeros and NaN payloads apart.
+func sortedBits(xs []float64) []uint64 {
+	b := make([]uint64, len(xs))
+	for i, x := range xs {
+		b[i] = math.Float64bits(x)
+	}
+	slices.Sort(b)
+	return b
+}
+
+// checkAgainstSort runs MedianInPlace, MADInto and selection at index k
+// on xs and compares each with the sort-based reference.
+func checkAgainstSort(t *testing.T, label string, xs []float64, k int) {
+	t.Helper()
+	in := append([]float64(nil), xs...)
+
+	buf := append([]float64(nil), xs...)
+	if got, want := MedianInPlace(buf), sortMedian(in); !sameOrderStat(got, want, in) {
+		t.Fatalf("%s: MedianInPlace = %v (%#x), sort says %v (%#x); input %v",
+			label, got, math.Float64bits(got), want, math.Float64bits(want), in)
+	}
+	if !slices.Equal(sortedBits(buf), sortedBits(in)) {
+		t.Fatalf("%s: MedianInPlace did not permute its input; input %v", label, in)
+	}
+
+	med, mad, _ := MADInto(xs, nil)
+	wmed, wmad := sortMAD(in)
+	if !sameOrderStat(med, wmed, in) {
+		t.Fatalf("%s: MADInto median = %v, sort says %v; input %v", label, med, wmed, in)
+	}
+	// Deviations are absolute values, so a signed-zero median cannot
+	// change them: the MAD must match bit for bit (or both be NaN).
+	if math.Float64bits(mad) != math.Float64bits(wmad) && !(math.IsNaN(mad) && math.IsNaN(wmad)) {
+		t.Fatalf("%s: MADInto mad = %v (%#x), sort says %v (%#x); input %v",
+			label, mad, math.Float64bits(mad), wmad, math.Float64bits(wmad), in)
+	}
+	for i := range xs {
+		if math.Float64bits(xs[i]) != math.Float64bits(in[i]) {
+			t.Fatalf("%s: MADInto mutated its input at %d", label, i)
+		}
+	}
+
+	if len(xs) > 0 {
+		sorted := append([]float64(nil), in...)
+		sort.Float64s(sorted)
+		buf = append(buf[:0], in...)
+		if got := selectInPlace(buf, k); !sameOrderStat(got, sorted[k], in) {
+			t.Fatalf("%s: order statistic %d = %v, sort says %v; input %v", label, k, got, sorted[k], in)
+		}
+	}
+}
+
+// TestMedianMatchesSort is the selection kernel's property test: on
+// seeded inputs of every length 0–1025 and a range of shapes (Gaussian,
+// heavy duplicates, all equal, sorted, reverse-sorted, and a mix of
+// ±Inf, NaN and ±0), MedianInPlace, MADInto and the order statistic
+// RobustMax reads return what the sort-based reference returns.
+func TestMedianMatchesSort(t *testing.T) {
+	src := rng.New(42)
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, math.Copysign(0, -1)}
+	shapes := []struct {
+		name string
+		gen  func(i, n int) float64
+	}{
+		{"gaussian", func(i, n int) float64 { return src.Normal(0, 3) }},
+		{"duplicates", func(i, n int) float64 { return float64(src.Intn(5)) - 2 }},
+		{"all-equal", func(i, n int) float64 { return -61.5 }},
+		{"sorted", func(i, n int) float64 { return float64(i/3) * 0.5 }},
+		{"reverse", func(i, n int) float64 { return float64(n-i) * 0.25 }},
+		{"specials", func(i, n int) float64 {
+			if src.Bool(0.3) {
+				return specials[src.Intn(len(specials))]
+			}
+			return float64(src.Intn(7)) - 3
+		}},
+	}
+	for n := 0; n <= 1025; n++ {
+		for _, sh := range shapes {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = sh.gen(i, n)
+			}
+			k := 0
+			if n > 0 {
+				k = src.Intn(n)
+			}
+			checkAgainstSort(t, sh.name, xs, k)
+		}
+	}
+}
+
+// TestQuickselectSortFallback pins the depth-limit fallback, which
+// the pivot sampling keeps real data from reaching: with the depth
+// budget cut to 0–3 rounds, the selection must still return the sort's
+// order statistic at every probed index, first and last included, with
+// the range correctly split around it.
+func TestQuickselectSortFallback(t *testing.T) {
+	src := rng.New(7)
+	for _, n := range []int{17, 40, 255, 1024} {
+		in := make([]float64, n)
+		for i := range in {
+			in[i] = float64(src.Intn(n / 2))
+		}
+		sorted := append([]float64(nil), in...)
+		sort.Float64s(sorted)
+		for depth := 0; depth <= 3; depth++ {
+			for _, k := range []int{0, src.Intn(n), n / 2, n - 1} {
+				xs := append([]float64(nil), in...)
+				if got := quickselect(xs, 0, n-1, k, depth); got != sorted[k] {
+					t.Fatalf("n=%d depth=%d: order statistic %d = %v, sort says %v", n, depth, k, got, sorted[k])
+				}
+				for i, x := range xs {
+					if (i < k && x > xs[k]) || (i > k && x < xs[k]) {
+						t.Fatalf("n=%d depth=%d k=%d: xs[%d]=%v is on the wrong side of %v", n, depth, k, i, x, xs[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzMedianMatchesSort drives the same comparison with arbitrary
+// inputs. In raw mode every 8 bytes are one float64 (any bit pattern:
+// NaN payloads, ±Inf, ±0, subnormals); in quantized mode every byte is
+// one value from a small alphabet with specials, so duplicates abound.
+// Inputs longer than 256 bytes are skipped: Go's input minimizer is
+// quadratic in the input length, and the property test already covers
+// every length up to 1025.
+func FuzzMedianMatchesSort(f *testing.F) {
+	f.Add([]byte{}, false)
+	f.Add([]byte{3, 1, 2, 2, 0x7f, 0x80, 0x7e, 0x81}, true)
+	f.Add([]byte("0123456789abcdef0123456789abcdef"), false)
+	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 4}, true)
+	f.Fuzz(func(t *testing.T, data []byte, quantized bool) {
+		if len(data) > 256 {
+			return
+		}
+		var xs []float64
+		if quantized {
+			for _, b := range data {
+				switch b {
+				case 0x7f:
+					xs = append(xs, math.NaN())
+				case 0x7e:
+					xs = append(xs, math.Inf(1))
+				case 0x81:
+					xs = append(xs, math.Inf(-1))
+				case 0x80:
+					xs = append(xs, math.Copysign(0, -1))
+				default:
+					xs = append(xs, float64(int8(b))/4)
+				}
+			}
+		} else {
+			for len(data) >= 8 {
+				xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+				data = data[8:]
+			}
+		}
+		checkAgainstSort(t, "fuzz", xs, len(xs)/3)
+	})
 }
