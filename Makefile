@@ -59,11 +59,15 @@ race:
 # `make test`; this target stretches them to $(SOAKTIME) each.
 # The durability soak chains disk faults (short writes, fsync errors,
 # ENOSPC) under a durable-store fleet with repeated crash-and-recover
-# cycles on the same disk image.
+# cycles on the same disk image. The estimator soak runs the collinear
+# ring-seed screening accuracy check over 1,200 walks instead of 120
+# and adds its p90 check; it is pure computation, so it runs without
+# -race, and it has a fixed size that ignores SOAKTIME (about 50 s).
 soak:
 	LOCBLE_SOAK=$(SOAKTIME) $(GO) test -race -count=1 -run='^TestChaosSoak$$' -v ./internal/netproto/
 	LOCBLE_SOAK=$(SOAKTIME) $(GO) test -race -count=1 -run='^TestFleetChaosSoak$$' -v ./internal/fleet/
 	LOCBLE_SOAK=$(SOAKTIME) $(GO) test -race -count=1 -run='^TestDurableChaosSoak$$' -v ./internal/fleet/
+	LOCBLE_SOAK=$(SOAKTIME) $(GO) test -count=1 -run='^TestCollinearScreeningAccuracy$$' -v ./internal/estimate/
 
 # Short coverage-guided shake of every fuzz target (decoder robustness:
 # BLE deframing/AD parsing/beacon decoding, netproto frame reading,
@@ -159,7 +163,7 @@ help:
 	@echo "make test     - run the test suite (shuffled order)"
 	@echo "make perfbench-test - vet + unit-test the perfbench benchmark module"
 	@echo "make race     - run the test suite under the race detector"
-	@echo "make soak     - $(SOAKTIME) race-enabled chaos soaks of the serving path and the fleet"
+	@echo "make soak     - $(SOAKTIME) race-enabled chaos soaks of the serving path and the fleet, plus a fixed-size estimator accuracy soak"
 	@echo "make fuzz     - short fuzz pass over all fuzz targets (FUZZTIME=$(FUZZTIME) each)"
 	@echo "make cover    - coverage summary, enforcing the $(COVER_FLOOR)% total floor"
 	@echo "make bench    - instrumented pipeline benchmark -> BENCH_pr4.json"

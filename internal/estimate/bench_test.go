@@ -8,13 +8,7 @@ import (
 
 func BenchmarkRunPlanar(b *testing.B) {
 	obs := synthObs(5.5, 2, -60, 2.2, lPath(4, 4, 0.15), 2.0, rng.New(1))
-	cfg := DefaultConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(obs, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchmarkRun(b, obs)
 }
 
 func BenchmarkRunCollinear(b *testing.B) {
@@ -23,13 +17,21 @@ func BenchmarkRunCollinear(b *testing.B) {
 		path = append(path, [2]float64{d, 0})
 	}
 	obs := synthObs(4, 2.5, -60, 2.0, path, 2.0, rng.New(2))
+	benchmarkRun(b, obs)
+}
+
+// benchmarkRun times Run on obs and reports objective evaluations per
+// fix alongside time and allocations.
+func benchmarkRun(b *testing.B, obs []Obs) {
 	cfg := DefaultConfig()
 	b.ReportAllocs()
+	e0 := metEvals.Value()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(obs, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(metEvals.Value()-e0)/float64(b.N), "evals/op")
 }
 
 func BenchmarkRunSegmented(b *testing.B) {

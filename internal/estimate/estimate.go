@@ -187,7 +187,9 @@ func (s *Solver) penalizedScoreAt(obs []Obs, cfg *Config, x, h float64) float64 
 	return ss + cfg.PenaltyWeight*float64(len(obs))*(penN*penN*4+penG*penG*0.25)
 }
 
-func (s *Solver) runSegmented(obs []Obs, segStarts []int, cfg Config) (*Estimate, error) {
+// runSegmented is RunSegmented without the metrics; exhaustive selects
+// refineSeeds' test reference for the collinear search.
+func (s *Solver) runSegmented(obs []Obs, segStarts []int, cfg Config, exhaustive bool) (*Estimate, error) {
 	if cfg.MinSamples < 5 {
 		cfg.MinSamples = 5
 	}
@@ -207,7 +209,7 @@ func (s *Solver) runSegmented(obs []Obs, segStarts []int, cfg Config) (*Estimate
 		return nil, fmt.Errorf("%w: spread %.2f m < %.2f m", ErrInsufficientMotion, major, cfg.MinSpread)
 	}
 	if minor < cfg.CollinearRatio*major {
-		return s.runCollinear(obs, segs, cfg, dir)
+		return s.runCollinear(obs, segs, cfg, dir, exhaustive)
 	}
 	return s.runPlanar(obs, segs, cfg)
 }
@@ -259,62 +261,26 @@ func (s *Solver) scoreAt(obs []Obs, segs [][2]int, cfg *Config, x, h float64) fl
 // initializers, then Nelder–Mead refinement of the position in the dB
 // domain.
 func (s *Solver) runPlanar(obs []Obs, segs [][2]int, cfg Config) (*Estimate, error) {
-	// All elliptical seeds are refined: the objective's global basin
-	// around the true position is narrow (a distant position with an
-	// inflated exponent often *scores* better than a near-miss), so seed
-	// score alone cannot rank basins — every linearized-fit hypothesis
-	// gets a local search.
 	seeds := s.seeds[:0]
 	for n := cfg.NMin; n <= cfg.NMax+1e-9; n += math.Max(cfg.NGridStep, 0.25) {
 		if c, ok := s.ellipticalLS(obs, n); ok {
 			seeds = append(seeds, seedXY{c.X, c.H})
 		}
 	}
-	// Ring seeds are screened by score; the best few join the refinement.
 	rings := s.rings[:0]
 	for _, r := range s.ringInits(obs) {
-		ss := s.scoreAt(obs, segs, &cfg, r[0], r[1])
-		rings = append(rings, scoredSeed{seedXY{r[0], r[1]}, ss})
+		rings = append(rings, scoredSeed{s: seedXY{r[0], r[1]}})
 	}
-	const ringPick = 6
-	for i := 0; i < len(rings) && i < ringPick; i++ {
-		min := i
-		for j := i + 1; j < len(rings); j++ {
-			if rings[j].v < rings[min].v {
-				min = j
-			}
-		}
-		rings[i], rings[min] = rings[min], rings[i]
-	}
-	for i := 0; i < len(rings) && i < ringPick; i++ {
-		seeds = append(seeds, rings[i].s)
-	}
-	s.seeds, s.rings = seeds, rings
-
-	var bx, bh float64
-	bv := math.Inf(1)
+	s.rings = rings
 	f := func(v []float64) float64 {
 		if math.Hypot(v[0], v[1]) > cfg.MaxRange {
 			return math.Inf(1)
 		}
 		return s.scoreAt(obs, segs, &cfg, v[0], v[1])
 	}
-	for _, sd := range seeds {
-		if cfg.canceled() {
-			return nil, ErrCanceled
-		}
-		x0 := s.nm.x0[:2]
-		x0[0], x0[1] = sd.x, sd.h
-		x, v := s.minimize(f, x0, 1.0, 200, cfg.Cancel)
-		if v < bv {
-			bv, bx, bh = v, x[0], x[1]
-		}
-	}
-	if cfg.canceled() {
-		return nil, ErrCanceled
-	}
-	if math.IsInf(bv, 1) {
-		return nil, ErrNoSolution
+	bx, bh, err := s.refineSeeds(f, seeds, rings, &cfg, false)
+	if err != nil {
+		return nil, err
 	}
 	return s.finish(obs, segs, cfg, []Candidate{{X: bx, H: bh}}, false)
 }
@@ -323,22 +289,25 @@ func (s *Solver) runPlanar(obs []Obs, segs [][2]int, cfg Config) (*Estimate, err
 // the position is parameterized as s·dir + w·perp; the sign of w is
 // unobservable (the paper's symmetry ambiguity, Sec. 5.1), so two mirror
 // candidates are returned.
-func (s *Solver) runCollinear(obs []Obs, segs [][2]int, cfg Config, dir [2]float64) (*Estimate, error) {
+func (s *Solver) runCollinear(obs []Obs, segs [][2]int, cfg Config, dir [2]float64, exhaustive bool) (*Estimate, error) {
 	perp := [2]float64{-dir[1], dir[0]}
 	pos := func(sc, w float64) (float64, float64) {
 		return sc*dir[0] + w*perp[0], sc*dir[1] + w*perp[1]
 	}
+	// Seeds are stored at the point their refinement starts from: the
+	// cross-track coordinate is kept off the w = 0 fold.
 	seeds := s.seeds[:0]
 	if s0, w0, ok := s.ellipticalLSLine(obs, dir, 2.0); ok {
-		seeds = append(seeds, seedXY{s0, w0})
+		seeds = append(seeds, seedXY{s0, math.Max(w0, 0.3)})
 	}
+	rings := s.rings[:0]
 	for _, r := range s.ringInits(obs) {
 		// Project ring candidates onto the (s, w) frame, w ≥ 0.
 		sc := r[0]*dir[0] + r[1]*dir[1]
 		w := math.Abs(r[0]*perp[0] + r[1]*perp[1])
-		seeds = append(seeds, seedXY{sc, w})
+		rings = append(rings, scoredSeed{s: seedXY{sc, math.Max(w, 0.3)}})
 	}
-	s.seeds = seeds
+	s.rings = rings
 	f := func(v []float64) float64 {
 		x, h := pos(v[0], math.Abs(v[1]))
 		if math.Hypot(x, h) > cfg.MaxRange {
@@ -346,28 +315,82 @@ func (s *Solver) runCollinear(obs []Obs, segs [][2]int, cfg Config, dir [2]float
 		}
 		return s.scoreAt(obs, segs, &cfg, x, h)
 	}
-	var bs, bw float64
-	bv := math.Inf(1)
-	for _, sd := range seeds {
-		if cfg.canceled() {
-			return nil, ErrCanceled
-		}
-		x0 := s.nm.x0[:2]
-		x0[0], x0[1] = sd.x, math.Max(sd.h, 0.3)
-		x, v := s.minimize(f, x0, 1.0, 200, cfg.Cancel)
-		if v < bv {
-			bv, bs, bw = v, x[0], math.Abs(x[1])
-		}
+	bs, bw, err := s.refineSeeds(f, seeds, rings, &cfg, exhaustive)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.canceled() {
-		return nil, ErrCanceled
-	}
-	if math.IsInf(bv, 1) {
-		return nil, ErrNoSolution
-	}
+	bw = math.Abs(bw)
 	x1, h1 := pos(bs, bw)
 	x2, h2 := pos(bs, -bw)
 	return s.finish(obs, segs, cfg, []Candidate{{X: x1, H: h1}, {X: x2, H: h2}}, true)
+}
+
+// ringPick is how many screened ring seeds join the refinement.
+const ringPick = 6
+
+// refineSeeds is the seed policy both position searches share. Every
+// elliptical seed is refined: the objective's global basin around the
+// true position is narrow (a distant position with an inflated exponent
+// often *scores* better than a near-miss), so seed score alone cannot
+// rank basins — every linearized-fit hypothesis gets a local search.
+// The ring seeds are a blind sweep of directions and radii, so they are
+// screened instead: each is scored with f, the same guarded objective
+// the refinement minimises, at the point its refinement would start
+// from, and only the ringPick best are refined (ties keep ring order).
+// exhaustive skips the screening and refines every ring seed in ring
+// order: the reference the screening is tested against.
+//
+// seeds holds the elliptical seeds; the refined ring seeds are appended
+// to it in the solver's seed arena. It returns the best refined point,
+// or ErrNoSolution when every refinement ended outside the guard, or
+// ErrCanceled.
+func (s *Solver) refineSeeds(f func([]float64) float64, seeds []seedXY, rings []scoredSeed, cfg *Config, exhaustive bool) (b0, b1 float64, err error) {
+	if exhaustive {
+		for _, r := range rings {
+			seeds = append(seeds, r.s)
+		}
+	} else {
+		x := s.nm.x0[:2]
+		for i := range rings {
+			x[0], x[1] = rings[i].s.x, rings[i].s.h
+			rings[i].v = f(x)
+		}
+		metEvals.Add(int64(len(rings)))
+		// Stable partial selection sort: each pick is the first minimum
+		// of the unpicked tail, rotated (not swapped) into place.
+		for i := 0; i < len(rings) && i < ringPick; i++ {
+			m := i
+			for j := i + 1; j < len(rings); j++ {
+				if rings[j].v < rings[m].v {
+					m = j
+				}
+			}
+			r := rings[m]
+			copy(rings[i+1:m+1], rings[i:m])
+			rings[i] = r
+			seeds = append(seeds, r.s)
+		}
+	}
+	s.seeds = seeds
+	bv := math.Inf(1)
+	for _, sd := range seeds {
+		if cfg.canceled() {
+			return 0, 0, ErrCanceled
+		}
+		x0 := s.nm.x0[:2]
+		x0[0], x0[1] = sd.x, sd.h
+		x, v := s.minimize(f, x0, 1.0, 200, cfg.Cancel)
+		if v < bv {
+			bv, b0, b1 = v, x[0], x[1]
+		}
+	}
+	if cfg.canceled() {
+		return 0, 0, ErrCanceled
+	}
+	if math.IsInf(bv, 1) {
+		return 0, 0, ErrNoSolution
+	}
+	return b0, b1, nil
 }
 
 // finish computes per-segment (n, Γ), residual statistics and confidence

@@ -20,6 +20,12 @@ var (
 	// iterations they spent (iterations ÷ calls = mean search depth).
 	metNMCalls = obs.Default.Counter("estimate.nm.calls")
 	metNMIters = obs.Default.Counter("estimate.nm.iterations")
+	// metEvals counts objective evaluations: every Nelder–Mead step
+	// plus the ring-seed screening pass. Each search counts locally and
+	// adds once, so it is the machine-independent work count per fix.
+	// Calls the MaxRange guard rejects before scoring count too, so with
+	// a small MaxRange it overstates the scoring work.
+	metEvals = obs.Default.Counter("estimate.evals")
 	// metResidualDB is the distribution of fit RMS residuals (dB).
 	metResidualDB = obs.Default.Histogram("estimate.residual_db",
 		[]float64{0.5, 1, 2, 4, 8, 16})

@@ -104,7 +104,7 @@ func (s *Solver) Run(obs []Obs, cfg Config) (*Estimate, error) {
 // segment); segments too short to support their own channel parameters
 // are merged into their predecessor.
 func (s *Solver) RunSegmented(obs []Obs, segStarts []int, cfg Config) (*Estimate, error) {
-	est, err := s.runSegmented(obs, segStarts, cfg)
+	est, err := s.runSegmented(obs, segStarts, cfg, false)
 	metRuns.Inc()
 	switch {
 	case errors.Is(err, ErrCanceled):
@@ -184,6 +184,7 @@ func (s *Solver) minimize(f func([]float64) float64, x0 []float64, scale float64
 		}
 		a.vals[d] = f(a.verts[d][:dim])
 	}
+	evals := dim + 1
 	lin := func(dst *[nmMaxDim]float64, av, bv *[nmMaxDim]float64, t float64) {
 		for i := 0; i < dim; i++ {
 			dst[i] = av[i] + t*(bv[i]-av[i])
@@ -210,10 +211,12 @@ func (s *Solver) minimize(f func([]float64) float64, x0 []float64, scale float64
 		}
 		lin(&a.cand, &a.verts[dim], &a.cent, 2) // c + (c − w)
 		reflV := f(a.cand[:dim])
+		evals++
 		switch {
 		case reflV < a.vals[0]:
 			lin(&a.cand2, &a.verts[dim], &a.cent, 3) // c + 2(c − w)
 			expV := f(a.cand2[:dim])
+			evals++
 			if expV < reflV {
 				a.verts[dim], a.vals[dim] = a.cand2, expV
 			} else {
@@ -224,6 +227,7 @@ func (s *Solver) minimize(f func([]float64) float64, x0 []float64, scale float64
 		default:
 			lin(&a.cand2, &a.verts[dim], &a.cent, 0.5)
 			contrV := f(a.cand2[:dim])
+			evals++
 			if contrV < a.vals[dim] {
 				a.verts[dim], a.vals[dim] = a.cand2, contrV
 			} else {
@@ -232,6 +236,7 @@ func (s *Solver) minimize(f func([]float64) float64, x0 []float64, scale float64
 					a.verts[k] = a.cand2
 					a.vals[k] = f(a.verts[k][:dim])
 				}
+				evals += dim
 			}
 		}
 		// Convergence: simplex collapsed in value and extent.
@@ -245,6 +250,7 @@ func (s *Solver) minimize(f func([]float64) float64, x0 []float64, scale float64
 	}
 	metNMCalls.Inc()
 	metNMIters.Add(int64(spent))
+	metEvals.Add(int64(evals))
 	a.sortSimplex(dim)
 	return a.verts[0][:dim], a.vals[0]
 }
